@@ -8,7 +8,6 @@ package caraoke
 import (
 	"testing"
 
-	"caraoke/internal/dsp"
 	"caraoke/internal/experiments"
 )
 
@@ -150,32 +149,4 @@ func BenchmarkTbl12PowerBudget(b *testing.B) {
 		margin = r.Margin
 	}
 	b.ReportMetric(margin, "solar_margin_x")
-}
-
-// BenchmarkAblationSparseFFT compares the dense 2048-point FFT against
-// the sparse FFT on a Caraoke-like capture (5 spikes) — the trade §10
-// makes in hardware.
-func BenchmarkAblationSparseFFT(b *testing.B) {
-	caps, err := CollisionCapture(42, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := caps.Antennas[0]
-	b.Run("DenseFFT", func(b *testing.B) {
-		plan, _ := dsp.NewFFTPlan(len(samples))
-		out := make([]complex128, len(samples))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			plan.Transform(out, samples)
-		}
-	})
-	b.Run("SparseFFT", func(b *testing.B) {
-		p := dsp.DefaultSparseFFTParams()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := dsp.SparseFFT(samples, 4e6, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

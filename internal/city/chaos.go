@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -170,18 +169,6 @@ func newChaosRun(cfg Config, epochs int, ids []uint32) *chaosRun {
 	return cr
 }
 
-// dial opens one reader's uplink: fault-wrapped and reconnect-capable
-// under chaos, the plain legacy client otherwise.
-func (cr *chaosRun) dial(p *post, addr string) (*collector.Client, error) {
-	if cr == nil {
-		return collector.Dial(addr, 5*time.Second)
-	}
-	raw := func() (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, 5*time.Second)
-	}
-	return collector.DialFunc(cr.inj.WrapDial(fmt.Sprintf("reader-%d", p.rd.ID), raw))
-}
-
 // activeMask returns the epoch's per-post online mask, or nil when no
 // churn is configured (every reader always on).
 func (cr *chaosRun) activeMask(posts []*post, epoch int) []bool {
@@ -193,34 +180,6 @@ func (cr *chaosRun) activeMask(posts []*post, epoch int) []bool {
 		mask[i] = cr.sched.Active(p.rd.ID, epoch)
 	}
 	return mask
-}
-
-// drainTargets computes the end-of-run barrier inputs from the three
-// vantage points, after the senders have joined:
-//
-//   - want: each reader's expected distinct-sequence count — the epochs
-//     it was online for (its seq only advances when it measures).
-//   - budget: an upper bound on reports that may legitimately never
-//     arrive — reports in dropped frames plus reports the client
-//     abandoned (degraded sends, queue at Close).
-//   - copies: the exact number of wire arrivals to wait for before the
-//     dedupe counters are read — sends the client believes succeeded,
-//     minus frames the wire silently ate, plus killed frames that
-//     arrived even though the client retried them.
-func (cr *chaosRun) drainTargets(posts []*post, clients []*collector.Client, epochs int) (want map[uint32]uint32, budget map[uint32]int, copies map[uint32]int) {
-	want = make(map[uint32]uint32, len(posts))
-	budget = make(map[uint32]int, len(posts))
-	copies = make(map[uint32]int, len(posts))
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	for i, p := range posts {
-		id := p.rd.ID
-		st := clients[i].Stats()
-		want[id] = uint32(cr.sched.ActiveEpochs(id, epochs))
-		budget[id] = len(cr.lost[id]) + st.Dropped
-		copies[id] = st.Delivered - len(cr.lost[id]) + len(cr.dup[id])
-	}
-	return want, budget, copies
 }
 
 // countInRange counts the seqs in [lo, hi] (inclusive, duplicates
@@ -235,8 +194,8 @@ func countInRange(seqs []uint32, lo, hi uint32) int {
 	return n
 }
 
-// clusterDrain composes the gap-tolerant barriers of a partitioned
-// chaos run: each reader's expected seq set splits by partition
+// clusterDrain composes the gap-tolerant barriers of a chaos run: each
+// reader's expected seq set splits by partition
 // ownership (cluster.OwnershipSplit), and each partition waits only for
 // the distinct-count, loss-budget, and copy targets of the seq ranges
 // it owns. Every budget entry localizes by sequence number: the
@@ -309,17 +268,10 @@ func (cr *chaosRun) clusterDrain(cl *cluster.Cluster, posts []*post, clients []*
 	return errors.Join(errs...)
 }
 
-// ingestCounts is the store-side vantage point the accounting reads —
-// satisfied by a single collector.Store and by a cluster.Cluster
-// (which sums across its partitions, dead ones included).
-type ingestCounts interface {
-	SeqsReceived(readerID uint32) int
-	Deduped(readerID uint32) int
-}
-
 // uplinkStats reconciles the final per-reader accounting for the
-// Result.
-func (cr *chaosRun) uplinkStats(posts []*post, clients []*collector.Client, store ingestCounts, epochs int) []UplinkStats {
+// Result. The store view sums across the cluster's partitions, dead
+// ones included.
+func (cr *chaosRun) uplinkStats(posts []*post, clients []*collector.Client, cl *cluster.Cluster, epochs int) []UplinkStats {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	out := make([]UplinkStats, len(posts))
@@ -336,8 +288,8 @@ func (cr *chaosRun) uplinkStats(posts []*post, clients []*collector.Client, stor
 			FramesLost:    fs.Drops,
 			ReportsLost:   len(cr.lost[id]),
 			Kills:         fs.Kills,
-			Received:      store.SeqsReceived(id),
-			Deduped:       store.Deduped(id),
+			Received:      cl.SeqsReceived(id),
+			Deduped:       cl.Deduped(id),
 			OfflineEpochs: epochs - cr.sched.ActiveEpochs(id, epochs),
 			Departures:    cr.sched.Departures(id),
 		}

@@ -148,7 +148,7 @@ func TestChaosLossAccounted(t *testing.T) {
 		if u.Deduped != 0 || u.Redelivered != 0 {
 			t.Errorf("reader %d: %d deduped / %d redelivered without kills", u.ReaderID, u.Deduped, u.Redelivered)
 		}
-		if missing := res.Store.MissingSeqs(u.ReaderID, uint32(res.Epochs)); len(missing) != u.ReportsLost {
+		if missing := res.Cluster.Partition(0).Store.MissingSeqs(u.ReaderID, uint32(res.Epochs)); len(missing) != u.ReportsLost {
 			t.Errorf("reader %d: store misses %d seqs %v, injector lost %d",
 				u.ReaderID, len(missing), missing, u.ReportsLost)
 		}
@@ -238,11 +238,11 @@ func TestChaosDriftShiftsTimestampsNotResults(t *testing.T) {
 	maxDev := func(res *Result) time.Duration {
 		var worst time.Duration
 		for _, u := range res.Uplinks {
-			rep := res.Store.Latest(u.ReaderID)
+			rep := res.Cluster.Partition(0).Store.Latest(u.ReaderID)
 			if rep == nil {
 				t.Fatalf("reader %d has no retained reports", u.ReaderID)
 			}
-			truth := cleanLong.Store.Latest(u.ReaderID)
+			truth := cleanLong.Cluster.Partition(0).Store.Latest(u.ReaderID)
 			dev := rep.Timestamp.Sub(truth.Timestamp)
 			if dev < 0 {
 				dev = -dev

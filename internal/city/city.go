@@ -109,11 +109,10 @@ type Config struct {
 	// Shards is the collector store's shard count (default: the
 	// collector's DefaultShards). Results are identical for any value.
 	Shards int
-	// Partitions is the collector-tier process count. 0 or 1 runs the
-	// legacy single collector — byte-identical to a build without this
-	// field. ≥ 2 runs a partitioned tier (internal/cluster): readers
-	// home onto partitions by consistent-hashing their intersection's
-	// grid cell, uplinks route to the home partition, and queries merge
+	// Partitions is the collector-tier process count of the run's
+	// cluster (internal/cluster); 0 or 1 = one partition. Readers home
+	// onto partitions by consistent-hashing their intersection's grid
+	// cell, uplinks route to the home partition, and queries merge
 	// across partitions. Merged query answers are identical for any
 	// partition count.
 	Partitions int
@@ -411,8 +410,8 @@ func (s *Sim) vehiclePos(v *vehicle) geom.Vec3 {
 // step costs O(vehicles + readers × in-range density) instead of
 // O(readers × vehicles). Candidates are visited in fleet order —
 // vehicles first, then parked cars — which is exactly the linear
-// scan's order, so the partition is identical (claimLinear remains as
-// the equality oracle).
+// scan's order, so the partition is identical (grid_test.go keeps the
+// linear scan as the equality oracle).
 func (s *Sim) claim() [][]*transponder.Device {
 	return s.claimMask(nil)
 }
@@ -455,25 +454,6 @@ func (s *Sim) activeDevices() []*transponder.Device {
 	return devs
 }
 
-// claimLinear is the pre-index O(readers × vehicles) claim scan, kept
-// as the oracle the grid index is tested against (and benchmarked
-// over).
-func (s *Sim) claimLinear() [][]*transponder.Device {
-	devs := s.activeDevices()
-	claims := make([][]*transponder.Device, len(s.posts))
-	taken := make(map[*transponder.Device]bool)
-	for i, p := range s.posts {
-		center := p.rd.Center()
-		for _, d := range devs {
-			if !taken[d] && d.Pos.Dist(center) <= s.cfg.Range {
-				claims[i] = append(claims[i], d)
-				taken[d] = true
-			}
-		}
-	}
-	return claims
-}
-
 // IntersectionStats summarizes one intersection's traffic over a run.
 // The statistics are accumulated as its readers produce reports, so
 // they cover every epoch of the run even when the collector's
@@ -496,7 +476,7 @@ type DecodedCar struct {
 }
 
 // Result is a finished run: per-intersection traffic, the decoded-car
-// set, and the live collector state for service queries (find-my-car,
+// set, and the collector tier's state for service queries (find-my-car,
 // speed pairs, parking) on top.
 type Result struct {
 	Epochs          int
@@ -506,15 +486,13 @@ type Result struct {
 	// ParkedSpots maps parking-spot index → occupant id, for spots
 	// whose occupant the readers managed to decode.
 	ParkedSpots map[int]uint64
-	// Store is the collector backend after ingest of a single-collector
-	// run; nil when the run was partitioned (see Cluster). Poles maps
-	// reader ids to road-plane positions (what a SpeedService needs).
-	Store      *collector.Store
+	// Poles maps reader ids to road-plane positions (what a
+	// SpeedService needs).
 	Poles      map[uint32]geom.Vec2
 	Start, End time.Time
-	// Cluster is the partitioned collector tier of a Partitions ≥ 2 run
-	// — servers stopped, per-partition stores still queryable. Nil for
-	// a single-collector run.
+	// Cluster is the run's collector tier — servers stopped,
+	// per-partition stores still queryable. A run with Partitions 0 or
+	// 1 has one partition.
 	Cluster *cluster.Cluster
 	// Uplinks is the per-reader delivery accounting of a chaos run —
 	// client, wire, store, and churn vantage points reconciled. Nil for
@@ -526,14 +504,10 @@ type Result struct {
 }
 
 // Directory returns the run's sighting query surface: the cluster's
-// merged query plane when the run was partitioned, the single store
-// otherwise. Services (SpeedService, the HTTP API) built on this work
-// unchanged over one collector or many.
+// merged query plane. Services (SpeedService, the HTTP API) built on
+// this work unchanged over one partition or many.
 func (r *Result) Directory() collector.Directory {
-	if r.Cluster != nil {
-		return r.Cluster
-	}
-	return r.Store
+	return r.Cluster
 }
 
 // FailoverStats summarizes a run's armed partition kill: whether any
@@ -574,7 +548,7 @@ type epochJob struct {
 	devs   []*transponder.Device
 }
 
-// Run executes the simulation: an in-process collector server, one TCP
+// Run executes the simulation: an in-process collector tier, one TCP
 // uplink per reader, and every reader running its capture → decode →
 // uplink loop as an independent pipeline (epoch N+1 capture overlaps
 // epoch N decode and uplink; sends ride an async per-reader queue).
@@ -591,48 +565,29 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	cr := newChaosRun(s.cfg, epochs, ids) // nil on the clean path
 
-	// Backend: one collector server, or a partitioned tier of them.
-	var (
-		store *collector.Store
-		cl    *cluster.Cluster
-		addr  string
-	)
-	if s.cfg.Partitions >= 2 {
-		var err error
-		cl, err = cluster.New(cluster.Config{
-			Partitions: s.cfg.Partitions,
-			Keep:       s.cfg.Keep,
-			Shards:     s.cfg.Shards,
-			Logf:       func(string, ...any) {}, // keep harness output clean
-		})
-		if err != nil {
+	cl, err := cluster.New(cluster.Config{
+		Partitions: max(1, s.cfg.Partitions),
+		Keep:       s.cfg.Keep,
+		Shards:     s.cfg.Shards,
+		Logf:       func(string, ...any) {}, // keep harness output clean
+	})
+	if err != nil {
+		return nil, fmt.Errorf("city: %w", err)
+	}
+	defer cl.Stop()
+	for _, p := range s.posts {
+		cl.Register(p.rd.ID, s.cellOf(p))
+	}
+	if s.cfg.Chaos.KillAtSeq > 0 {
+		plan := cluster.FailoverPlan{Partition: s.cfg.Chaos.KillPartition, AtSeq: uint32(s.cfg.Chaos.KillAtSeq)}
+		if err := cl.SetFailover(plan); err != nil {
 			return nil, fmt.Errorf("city: %w", err)
 		}
-		defer cl.Stop()
-		for _, p := range s.posts {
-			cl.Register(p.rd.ID, s.cellOf(p))
-		}
-		if s.cfg.Chaos.KillAtSeq > 0 {
-			plan := cluster.FailoverPlan{Partition: s.cfg.Chaos.KillPartition, AtSeq: uint32(s.cfg.Chaos.KillAtSeq)}
-			if err := cl.SetFailover(plan); err != nil {
-				return nil, fmt.Errorf("city: %w", err)
-			}
-		}
-	} else {
-		store = collector.NewShardedStore(s.cfg.Keep, s.cfg.Shards)
-		srv := collector.NewServer(store)
-		srv.Logf = func(string, ...any) {} // keep harness output clean
-		a, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("city: %w", err)
-		}
-		defer srv.Stop()
-		addr = a.String()
 	}
 
 	clients := make([]*collector.Client, len(s.posts))
 	for i, p := range s.posts {
-		c, err := s.dialUplink(cr, cl, p, addr)
+		c, err := s.dialUplink(cr, cl, p)
 		if err != nil {
 			return nil, fmt.Errorf("city: uplink %d: %w", i, err)
 		}
@@ -640,7 +595,6 @@ func (s *Sim) Run() (*Result, error) {
 		clients[i] = c
 	}
 
-	var err error
 	if s.cfg.Lockstep {
 		err = s.runLockstep(cr, clients, epochs)
 	} else {
@@ -659,76 +613,45 @@ func (s *Sim) Run() (*Result, error) {
 	if timeout == 0 {
 		timeout = drainTimeout(epochs, len(s.posts))
 	}
-	if err := s.drain(cr, cl, store, clients, epochs, timeout); err != nil {
+	if err := s.drain(cr, cl, clients, epochs, timeout); err != nil {
 		return nil, err
 	}
 	produced := 0
 	for _, p := range s.posts {
 		produced += p.reports
 	}
-	res := s.summarize(store, produced, epochs)
+	res := s.summarize(produced, epochs)
 	res.Cluster = cl
-	if cl != nil && s.cfg.Chaos.KillAtSeq > 0 {
+	if s.cfg.Chaos.KillAtSeq > 0 {
 		res.Failover = s.failoverStats(cl, cr, clients, epochs)
 	}
 	if cr != nil {
-		var counts ingestCounts = store
-		if cl != nil {
-			counts = cl
-		}
-		res.Uplinks = cr.uplinkStats(s.posts, clients, counts, epochs)
+		res.Uplinks = cr.uplinkStats(s.posts, clients, cl, epochs)
 	}
 	return res, nil
 }
 
-// drain blocks until every uplinked report has landed in the run's
-// backend. Single collector: the legacy store barriers. Partitioned:
-// the cluster-wide composition — each reader's expected seq set splits
-// by partition ownership (a rehomed reader's pre-cut prefix barriers on
-// the dead partition's store, its suffix on the successor) and the
-// per-partition barriers run concurrently.
-func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, store *collector.Store, clients []*collector.Client, epochs int, timeout time.Duration) error {
-	switch {
-	case cl == nil && cr == nil:
-		// Clean path: lossless, so the exact high-water barrier holds.
-		want := make(map[uint32]uint32, len(s.posts))
-		for _, p := range s.posts {
-			want[p.rd.ID] = uint32(epochs)
-		}
-		if err := store.WaitHighWater(want, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-	case cl == nil:
-		// Chaos path: injected loss makes an exact barrier a guaranteed
-		// hang, so drain gap-tolerantly — distinct reports up to the
-		// accounted loss budget — then wait for every wire copy
-		// (duplicates included) so the dedupe counters are settled and
-		// reproducible before anyone reads them.
-		want, budget, copies := cr.drainTargets(s.posts, clients, epochs)
-		if err := store.WaitDelivered(want, budget, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-		if err := store.WaitCopies(copies, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-	case cr == nil:
-		// Partitioned, lossless (possibly with a failover cut, which
-		// loses nothing: pre-cut frames land on the dead partition,
-		// post-cut frames are redelivered to the successor). The cluster
-		// splits the high-water barrier by seq ownership.
-		want := make(map[uint32]uint32, len(s.posts))
-		for _, p := range s.posts {
-			want[p.rd.ID] = uint32(epochs)
-		}
-		if err := cl.WaitHighWater(want, timeout); err != nil {
-			return fmt.Errorf("city: %w", err)
-		}
-	default:
-		// Partitioned chaos: per-partition gap-tolerant barriers with
-		// seq-localized loss and duplicate budgets.
-		if err := cr.clusterDrain(cl, s.posts, clients, epochs, timeout); err != nil {
-			return err
-		}
+// drain blocks until every uplinked report has landed in the cluster.
+// Each reader's expected seq set splits by partition ownership (a
+// rehomed reader's pre-cut prefix barriers on the dead partition's
+// store, its suffix on the successor) and the per-partition barriers
+// run concurrently.
+func (s *Sim) drain(cr *chaosRun, cl *cluster.Cluster, clients []*collector.Client, epochs int, timeout time.Duration) error {
+	if cr != nil {
+		// Chaos: injected loss makes an exact barrier a guaranteed hang,
+		// so drain gap-tolerantly with seq-localized loss and duplicate
+		// budgets.
+		return cr.clusterDrain(cl, s.posts, clients, epochs, timeout)
+	}
+	// Clean: lossless (a failover cut loses nothing either: pre-cut
+	// frames land on the dead partition, post-cut frames are redelivered
+	// to the successor), so the exact high-water barrier holds.
+	want := make(map[uint32]uint32, len(s.posts))
+	for _, p := range s.posts {
+		want[p.rd.ID] = uint32(epochs)
+	}
+	if err := cl.WaitHighWater(want, timeout); err != nil {
+		return fmt.Errorf("city: %w", err)
 	}
 	return nil
 }
@@ -741,18 +664,15 @@ func (s *Sim) cellOf(p *post) string {
 	return fmt.Sprintf("cell-%d-%d", p.intersection%s.gw, p.intersection/s.gw)
 }
 
-// dialUplink opens one reader's uplink against the run's backend. On a
-// cluster the dial resolves the reader's current home on every
-// (re)connect — that re-resolution is the failover mechanism: a rehomed
-// reader's redial lands on the ring successor. Layering is client →
+// dialUplink opens one reader's uplink against the cluster. The dial
+// resolves the reader's current home on every (re)connect — that
+// re-resolution is the failover mechanism: a rehomed reader's redial
+// lands on the ring successor. Layering is client →
 // failover guard → fault injector → TCP, so a cut frame is never
 // charged to the injector's loss accounting and an injector-killed
 // frame retries against the same home until the cut is actually
 // crossed.
-func (s *Sim) dialUplink(cr *chaosRun, cl *cluster.Cluster, p *post, addr string) (*collector.Client, error) {
-	if cl == nil {
-		return cr.dial(p, addr)
-	}
+func (s *Sim) dialUplink(cr *chaosRun, cl *cluster.Cluster, p *post) (*collector.Client, error) {
 	id := p.rd.ID
 	dial := func() (net.Conn, error) {
 		return net.DialTimeout("tcp", cl.AddrFor(id), 5*time.Second)
@@ -914,8 +834,7 @@ func (s *Sim) runPipelined(cr *chaosRun, clients []*collector.Client, epochs int
 				if err := s.uplink(p, up, rep); err != nil {
 					// Degraded ≠ dead: the client counted the loss and
 					// keeps accepting (and dropping) sends; the reader
-					// keeps measuring. Only a real protocol error — a
-					// legacy client with no Redial — aborts the run.
+					// keeps measuring. Any other error aborts the run.
 					if errors.Is(err, collector.ErrUplinkDegraded) {
 						continue
 					}
@@ -1075,14 +994,13 @@ func (s *Sim) uplink(p *post, up *collector.Client, rep *telemetry.Report) error
 	return nil
 }
 
-// summarize folds the collector state into per-intersection statistics
-// and merges the per-reader decode logs in a fixed order.
-func (s *Sim) summarize(store *collector.Store, total, epochs int) *Result {
+// summarize folds the per-reader run statistics into per-intersection
+// statistics and merges the per-reader decode logs in a fixed order.
+func (s *Sim) summarize(total, epochs int) *Result {
 	res := &Result{
 		Epochs:       epochs,
 		TotalReports: total,
 		ParkedSpots:  make(map[int]uint64),
-		Store:        store,
 		Poles:        s.poles,
 		Start:        baseTime,
 		End:          baseTime.Add(time.Duration(epochs) * s.cfg.Epoch),

@@ -95,7 +95,7 @@ func TestCityDecodesAndFindsCars(t *testing.T) {
 		t.Fatal("no transponder decoded in 8 epochs of a 6-car scene")
 	}
 	for _, d := range res.Decoded {
-		sgt, ok := res.Store.FindCar(d.ID)
+		sgt, ok := res.Cluster.Partition(0).Store.FindCar(d.ID)
 		if !ok {
 			t.Errorf("decoded id %#x not findable through the collector", d.ID)
 			continue
@@ -149,7 +149,7 @@ func TestCityRunOutlivesRetention(t *testing.T) {
 	if res.TotalReports != 6 {
 		t.Errorf("delivered %d reports, want 6", res.TotalReports)
 	}
-	if got := res.Store.TotalReports(); got != 3 {
+	if got := res.Cluster.Partition(0).Store.TotalReports(); got != 3 {
 		t.Errorf("store retains %d reports, keep is 3", got)
 	}
 	// Summary statistics accumulate at measurement time, so they cover
@@ -163,7 +163,7 @@ func TestCityRunOutlivesRetention(t *testing.T) {
 	if sum != res.TotalReports {
 		t.Errorf("per-intersection reports sum to %d, want TotalReports %d", sum, res.TotalReports)
 	}
-	if got := res.Store.HighWater(res.PerIntersection[0].Readers[0]); got != 6 {
+	if got := res.Cluster.Partition(0).Store.HighWater(res.PerIntersection[0].Readers[0]); got != 6 {
 		t.Errorf("high-water %d survives trimming, want 6", got)
 	}
 }

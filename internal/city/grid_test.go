@@ -5,7 +5,28 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"caraoke/internal/transponder"
 )
+
+// claimLinear is the pre-index O(readers × vehicles) claim scan, kept
+// as the oracle the grid index is tested against (and benchmarked
+// over).
+func (s *Sim) claimLinear() [][]*transponder.Device {
+	devs := s.activeDevices()
+	claims := make([][]*transponder.Device, len(s.posts))
+	taken := make(map[*transponder.Device]bool)
+	for i, p := range s.posts {
+		center := p.rd.Center()
+		for _, d := range devs {
+			if !taken[d] && d.Pos.Dist(center) <= s.cfg.Range {
+				claims[i] = append(claims[i], d)
+				taken[d] = true
+			}
+		}
+	}
+	return claims
+}
 
 // TestClaimGridMatchesLinear: the spatial index must reproduce the
 // linear scan's claim partition exactly — same devices, same readers,

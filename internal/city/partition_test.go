@@ -92,8 +92,8 @@ func TestPartitionCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Store == nil || base.Cluster != nil {
-		t.Fatal("single-collector run should use the legacy store backend")
+	if n := base.Cluster.NumPartitions(); n != 1 {
+		t.Fatalf("Partitions 0 should run a one-partition cluster, got %d partitions", n)
 	}
 	want := queryFingerprint(t, base)
 	if len(base.Decoded) == 0 {
@@ -106,8 +106,8 @@ func TestPartitionCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("partitions=%d: %v", parts, err)
 		}
-		if res.Cluster == nil || res.Store != nil {
-			t.Fatalf("partitions=%d: expected a cluster backend", parts)
+		if n := res.Cluster.NumPartitions(); n != parts {
+			t.Fatalf("partitions=%d: cluster has %d partitions", parts, n)
 		}
 		if !reflect.DeepEqual(res.PerIntersection, base.PerIntersection) {
 			t.Errorf("partitions=%d: per-intersection stats diverge", parts)
@@ -119,7 +119,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 			t.Errorf("partitions=%d: parked spots diverge", parts)
 		}
 		if got := queryFingerprint(t, res); got != want {
-			t.Errorf("partitions=%d: merged query answers diverge from single collector:\n--- single\n%s--- partitioned\n%s", parts, want, got)
+			t.Errorf("partitions=%d: merged query answers diverge from one partition:\n--- one partition\n%s--- partitioned\n%s", parts, want, got)
 		}
 		if parts == 4 {
 			spread := 0

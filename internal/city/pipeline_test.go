@@ -96,10 +96,10 @@ func TestPipelinedSkewedReaderMatchesLockstep(t *testing.T) {
 
 	epochs := a.Epochs
 	for id := uint32(1); id <= 3; id++ {
-		if got := a.Store.HighWater(id); got != uint32(epochs) {
+		if got := a.Cluster.Partition(0).Store.HighWater(id); got != uint32(epochs) {
 			t.Errorf("reader %d high-water %d, want %d", id, got, epochs)
 		}
-		_, counts := a.Store.CountSeries(id, a.Start, a.End)
+		_, counts := a.Cluster.Partition(0).Store.CountSeries(id, a.Start, a.End)
 		if len(counts) != epochs {
 			t.Errorf("reader %d retained %d reports, want %d", id, len(counts), epochs)
 		}

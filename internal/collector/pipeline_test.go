@@ -64,7 +64,7 @@ func TestStoreOutOfOrderSeq(t *testing.T) {
 	}
 	s.Add(at(1))
 	s.Add(at(2))
-	s.Add(at(5)) // reader raced ahead...
+	s.Add(at(5))                                  // reader raced ahead...
 	s.AddBatch([]*telemetry.Report{at(3), at(4)}) // ...then the straggler batch lands
 
 	_, counts := s.CountSeries(7, base, base.Add(time.Minute))
@@ -86,8 +86,8 @@ func TestStoreOutOfOrderSeq(t *testing.T) {
 }
 
 // TestWaitHighWaterSlowIngest: the per-reader barrier must tolerate an
-// ingest that trickles in (the whole point of replacing the fixed
-// 10-second WaitIngested), and when a reader genuinely stalls the
+// ingest that trickles in (the whole point of an event-driven barrier
+// over a fixed sleep), and when a reader genuinely stalls the
 // error must name the laggard with its progress.
 func TestWaitHighWaterSlowIngest(t *testing.T) {
 	s := NewStore(64)

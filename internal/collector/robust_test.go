@@ -28,9 +28,9 @@ func TestStoreDedupesRedelivery(t *testing.T) {
 	s := NewStore(8)
 	r := robustReport(7, 3)
 	s.Add(r)
-	s.Add(r)                                      // single-frame redelivery
-	s.AddBatch([]*telemetry.Report{r})            // batched redelivery
-	s.Add(robustReport(7, 4))                     // a fresh seq still lands
+	s.Add(r)                           // single-frame redelivery
+	s.AddBatch([]*telemetry.Report{r}) // batched redelivery
+	s.Add(robustReport(7, 4))          // a fresh seq still lands
 	if got := s.Ingested(); got != 2 {
 		t.Errorf("Ingested = %d, want 2 distinct reports", got)
 	}
@@ -292,7 +292,7 @@ func TestServerIdleTimeoutReapsHalfOpen(t *testing.T) {
 	if err := telemetry.WriteFrame(conn, robustReport(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WaitIngested(1, 5*time.Second); err != nil {
+	if err := store.WaitHighWater(map[uint32]uint32{1: 1}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// …then go silent. The server must close its side; our read unblocks

@@ -57,7 +57,7 @@ func TestAcceptLoopSurvivesTemporaryErrors(t *testing.T) {
 	if err := c.Send(&telemetry.Report{ReaderID: 3, Seq: 1, Timestamp: at(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WaitIngested(1, 5*time.Second); err != nil {
+	if err := store.WaitHighWater(map[uint32]uint32{3: 1}, 5*time.Second); err != nil {
 		t.Fatalf("report never ingested after temporary accept errors: %v", err)
 	}
 	if got := store.Latest(3); got == nil || got.Seq != 1 {
@@ -105,7 +105,7 @@ func TestServerIngestsBatchFrames(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WaitIngested(6, 5*time.Second); err != nil {
+	if err := store.WaitHighWater(map[uint32]uint32{1: 5, 2: 9}, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Latest(1); got == nil || got.Seq != 5 {

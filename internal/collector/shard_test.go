@@ -114,9 +114,22 @@ func TestShardedStoreConcurrent(t *testing.T) {
 		perWriter = 300
 		readerIDs = 23 // spans every shard of 5 several times over
 	)
+	// Each reader's final seq mark, walked in the writers' own order:
+	// the barrier below runs concurrently with the ingest it waits on.
+	want := make(map[uint32]uint32)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			id, hi := uint32((w*perWriter+i)%readerIDs)+1, uint32(i)
+			if i%10 == 0 {
+				hi = uint32(i + perWriter)
+				i++
+			}
+			want[id] = max(want[id], hi)
+		}
+	}
 	done := make(chan error, 1)
 	go func() {
-		done <- s.WaitIngested(writers*perWriter, 30*time.Second)
+		done <- s.WaitHighWater(want, 30*time.Second)
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -154,29 +167,30 @@ func TestShardedStoreConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	if err := <-done; err != nil {
-		t.Fatalf("WaitIngested: %v", err)
+		t.Fatalf("WaitHighWater: %v", err)
 	}
 	if got := s.Ingested(); got != writers*perWriter {
 		t.Errorf("ingested %d, want %d", got, writers*perWriter)
 	}
 }
 
-// TestWaitIngestedTimesOut: a barrier that can never be satisfied must
-// come back with an error at the deadline, not hang.
+// TestWaitIngestedTimesOut: the ingest barrier (Store.WaitHighWater)
+// must come back with an error at the deadline when it can never be
+// satisfied, not hang, and must return at once when it already is.
 func TestWaitIngestedTimesOut(t *testing.T) {
 	s := NewStore(8)
-	s.Add(shardReport(1, 0))
+	s.Add(shardReport(1, 1))
 	start := time.Now()
-	err := s.WaitIngested(2, 50*time.Millisecond)
+	err := s.WaitHighWater(map[uint32]uint32{1: 2}, 50*time.Millisecond)
 	if err == nil {
-		t.Fatal("WaitIngested returned nil without the count being reached")
+		t.Fatal("WaitHighWater returned nil without the mark being reached")
 	}
 	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("WaitIngested took %v to time out", e)
+		t.Fatalf("WaitHighWater took %v to time out", e)
 	}
 	// Satisfied barriers return immediately even with zero timeout
 	// headroom left.
-	if err := s.WaitIngested(1, time.Millisecond); err != nil {
+	if err := s.WaitHighWater(map[uint32]uint32{1: 1}, time.Millisecond); err != nil {
 		t.Fatalf("satisfied barrier errored: %v", err)
 	}
 }

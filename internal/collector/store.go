@@ -363,26 +363,16 @@ func (s *Store) waitOn(timeout time.Duration, reached func() bool, lagErr func()
 	return nil
 }
 
-// WaitIngested blocks until the store has ingested at least want
-// reports, or the timeout elapses. It is the event-driven run barrier:
-// every Add/AddBatch that lands while someone waits broadcasts on a
-// condition variable, so the waiter wakes the instant the count is
-// reached instead of sleep-polling.
-func (s *Store) WaitIngested(want int, timeout time.Duration) error {
-	return s.waitOn(timeout,
-		func() bool { return s.ingested >= want },
-		func() error {
-			return fmt.Errorf("collector: ingested %d of %d reports before timeout", s.ingested, want)
-		})
-}
-
 // WaitHighWater blocks until every reader in want has delivered a
 // report with Seq ≥ its wanted mark, or the timeout elapses. It is the
-// per-reader completion barrier for pipelined ingest: unlike the global
-// WaitIngested count, it cannot be satisfied by one reader's surplus
-// masking another's missing uplink, and it is insensitive to the order
-// in which readers' batches interleave on the wire. The error, if any,
-// names each lagging reader and how far it got.
+// per-reader completion barrier for pipelined ingest: unlike a global
+// ingest count, it cannot be satisfied by one reader's surplus masking
+// another's missing uplink, and it is insensitive to the order in which
+// readers' batches interleave on the wire. Every Add/AddBatch that
+// lands while someone waits broadcasts on a condition variable, so the
+// waiter wakes the instant the marks are reached instead of
+// sleep-polling. The error, if any, names each lagging reader and how
+// far it got.
 //
 // WaitHighWater assumes lossless delivery: if any report is lost the
 // mark is never reached and the barrier burns its whole timeout. Runs

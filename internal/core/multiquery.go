@@ -34,7 +34,7 @@ func AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params) ([]Spike, error) {
 }
 
 // AnalyzeCaptures is the pooled implementation behind the package-level
-// AnalyzeCaptures and AnalyzeCapturesParallel. The two expensive stages
+// AnalyzeCaptures, with an explicit worker count. The two expensive stages
 // — one FFT per capture and the per-peak refinement/occupancy chain
 // (a few dozen Goertzel filters per peak per capture) — are
 // embarrassingly parallel; everything else stays serial. Per-capture
@@ -68,10 +68,6 @@ func (sc *Scratch) AnalyzeCaptures(mcs []*rfsim.MultiCapture, p Params, workers 
 		workers = 1
 	}
 	sc.growWorkers(workers)
-	sc.plan.Radix2 = p.Radix2FFT
-	for w := range sc.workers {
-		sc.workers[w].plan.Radix2 = p.Radix2FFT
-	}
 	// Root-mean-square magnitude spectrum across queries. Each worker
 	// runs the batched SpectrumManyInto over one static contiguous chunk
 	// of captures, amortizing the plan lookup and keeping the stage

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"caraoke/internal/rfsim"
 )
 
 // parallelFor runs fn(0..n-1) across at most workers goroutines. With
@@ -81,19 +79,6 @@ func parallelChunksWorkers(n, workers int, fn func(worker, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
-}
-
-// AnalyzeCapturesParallel is AnalyzeCaptures with the two hot stages —
-// the per-capture FFTs and the per-peak refinement/occupancy chain —
-// fanned out across a worker pool. Results are merged in index order,
-// so the output is identical to the serial path for any worker count.
-// workers ≤ 0 uses one worker per available CPU.
-func AnalyzeCapturesParallel(mcs []*rfsim.MultiCapture, p Params, workers int) ([]Spike, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var sc Scratch
-	return sc.AnalyzeCaptures(mcs, p, workers)
 }
 
 // DecodeAllParallel is DecodeAll with the per-target combine/decode

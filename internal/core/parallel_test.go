@@ -57,8 +57,9 @@ func TestAnalyzeCapturesParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 4, 8} {
-		par, err := AnalyzeCapturesParallel(mcs, s.param, workers)
+	for _, workers := range []int{1, 2, 4, 8} {
+		var sc Scratch
+		par, err := sc.AnalyzeCaptures(mcs, s.param, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

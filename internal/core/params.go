@@ -47,28 +47,6 @@ type Params struct {
 	// so the §5 same-bin counting path is unaffected.
 	PurityMaxRel float64
 	PurityMin    float64
-	// SparseDetect switches the spike-detection stage from the dense
-	// FFT to the sparse FFT of internal/dsp/sfft.go (bucket aliasing,
-	// sub-linear in the capture length). Refinement, channel
-	// estimation, and the occupancy test are unchanged. Off by
-	// default: on Caraoke-sized captures (2048 samples) the cached
-	// dense plan wins the ablation by ~20× (see BENCH_8.json), and the
-	// dense path is the reference for byte-identical output. The knob
-	// exists for the paper's regime — reader hardware where capture
-	// lengths grow and spike counts stay small. Sparse detection also
-	// disables the relaxed-sharpness second sweep (there is no dense
-	// spectrum to re-sweep).
-	SparseDetect bool
-	// Sparse tunes the sparse transform when SparseDetect is on; the
-	// zero value uses dsp.DefaultSparseFFTParams.
-	Sparse dsp.SparseFFTParams
-	// Radix2FFT routes every dense transform in the analysis chain
-	// through the retained radix-2 reference FFT kernel instead of the
-	// radix-4 production kernel (dsp.Plan.Radix2). The kernels agree to
-	// a few ULPs and produce identical decisions on the reference
-	// scenarios; this is the escape hatch if a platform's floating
-	// point ever disagrees. Off by default.
-	Radix2FFT bool
 	// RelaxedSharpness enables a second, lower-sharpness peak sweep.
 	// In large collisions the aggregate data floor rises with √m and a
 	// genuine carrier may clear its local neighborhood by less than

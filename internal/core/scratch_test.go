@@ -210,52 +210,6 @@ func TestDecodeWithSICScratchReuse(t *testing.T) {
 	}
 }
 
-// TestSparseDetectFindsStrongSpikes smoke-tests the ablation knob.
-// Manchester data sidebands make the collision spectrum only
-// approximately sparse, so the sparse path recovers the strongest
-// carriers rather than all of them — the test pins the useful
-// contract: at least one spike, every sparse spike within one bin of
-// a dense-path spike (no false positives), and never more spikes than
-// dense. This degraded recovery is exactly why SparseDetect defaults
-// off (see BENCH_8.json for the speed side of the ablation).
-func TestSparseDetectFindsStrongSpikes(t *testing.T) {
-	s := newTestScene(t, 4027)
-	devs := s.placedDevices(5)
-	for i, d := range devs {
-		d.CarrierHz = phy.BandLow + 150e3 + float64(i)*180e3
-	}
-	mc := s.collide(devs)
-	dense, err := AnalyzeCapture(mc, s.param)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := s.param
-	sp.SparseDetect = true
-	sparse, err := AnalyzeCapture(mc, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sparse) == 0 {
-		t.Fatal("sparse path found no spikes")
-	}
-	if len(sparse) > len(dense) {
-		t.Fatalf("sparse found %d spikes, dense only %d", len(sparse), len(dense))
-	}
-	binW := s.param.SampleRate / float64(len(mc.Reference()))
-	for _, sp := range sparse {
-		matched := false
-		for _, d := range dense {
-			if diff := d.Freq - sp.Freq; diff <= binW && diff >= -binW {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Errorf("sparse spike at %.0f Hz matches no dense spike", sp.Freq)
-		}
-	}
-}
-
 // allocBudgets mirrors the alloc_budget section of BENCH_10.json: the
 // checked-in steady-state allocation ceilings CI enforces.
 type allocBudgets struct {
@@ -339,39 +293,6 @@ func BenchmarkAnalyzeCapture(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSparseVsDense is the sfft ablation on the detection stage:
-// the same capture analyzed with the dense pooled path and with
-// SparseDetect on. Recorded in BENCH_8.json; dense wins at Caraoke's
-// 2048-sample captures, so SparseDetect defaults off.
-func BenchmarkSparseVsDense(b *testing.B) {
-	s := newTestScene(b, 811)
-	devs := s.placedDevices(5)
-	for i, d := range devs {
-		d.CarrierHz = phy.BandLow + 150e3 + float64(i)*180e3
-	}
-	mc := s.collide(devs)
-	sparseParam := s.param
-	sparseParam.SparseDetect = true
-	for _, tc := range []struct {
-		name  string
-		param Params
-	}{{"dense", s.param}, {"sparse", sparseParam}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var sc Scratch
-			if _, err := sc.AnalyzeCapture(mc, tc.param); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sc.AnalyzeCapture(mc, tc.param); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTryDecode measures the per-query decode attempt on the

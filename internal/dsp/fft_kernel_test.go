@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -15,6 +16,76 @@ func kernelSignal(rng *rand.Rand, n int) []complex128 {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	return x
+}
+
+// radix2Ref is the pre-overhaul FFT kernel, kept here as the oracle
+// the radix-4 production kernel is tested against: iterative radix-2
+// Cooley-Tukey over the plan's bit-reversal permutation, with a strided
+// walk of one shared e^{-2πi k/n} table and per-element conjugation on
+// the inverse path.
+type radix2Ref struct {
+	p       *FFTPlan
+	twiddle []complex128 // e^{-2πi k/n} for k in [0, n/2), strided by n/size per stage
+}
+
+func newRadix2Ref(p *FFTPlan) *radix2Ref {
+	n := p.n
+	r := &radix2Ref{p: p, twiddle: make([]complex128, n/2)}
+	for k := 0; k < n/2; k++ {
+		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		r.twiddle[k] = complex(c, s)
+	}
+	return r
+}
+
+// transform is the radix-2 counterpart of FFTPlan.Transform.
+func (r *radix2Ref) transform(dst, src []complex128) {
+	r.run(dst, src, false)
+}
+
+// inverse is the radix-2 counterpart of FFTPlan.Inverse.
+func (r *radix2Ref) inverse(dst, src []complex128) {
+	r.run(dst, src, true)
+	inv := complex(1/float64(r.p.n), 0)
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+func (r *radix2Ref) run(dst, src []complex128, inverse bool) {
+	p := r.p
+	if len(dst) != p.n || len(src) != p.n {
+		panic(fmt.Sprintf("dsp: FFT buffer length %d/%d, plan length %d", len(dst), len(src), p.n))
+	}
+	p.bitrev(dst, src)
+	for size := 2; size <= p.n; size <<= 1 {
+		half := size >> 1
+		step := p.n / size
+		for start := 0; start < p.n; start += size {
+			tw := 0
+			for k := start; k < start+half; k++ {
+				w := r.twiddle[tw]
+				if inverse {
+					w = complex(real(w), -imag(w))
+				}
+				odd := dst[k+half] * w
+				dst[k+half] = dst[k] - odd
+				dst[k] += odd
+				tw += step
+			}
+		}
+	}
+}
+
+// fillMagsPows is the unfused magnitude sweep the fused spectrum pass
+// replaced — the baseline of BenchmarkSpectrumInto. Values are
+// identical to the fused stores: the same binPow/Sqrt per bin.
+func fillMagsPows(mags, pows []float64, bins []complex128) {
+	for k, v := range bins {
+		pw := binPow(v)
+		pows[k] = pw
+		mags[k] = math.Sqrt(pw)
+	}
 }
 
 // maxBinDiff returns the largest per-bin |a[k]-b[k]|.
@@ -78,8 +149,8 @@ func TestKernelParsevalRandomLengths(t *testing.T) {
 	}
 }
 
-// TestKernelVsRadix2OracleULP pins the radix-4 kernel to the retained
-// radix-2 reference within a tight rounding-error envelope, forward and
+// TestKernelVsRadix2OracleULP pins the radix-4 kernel to the radix-2
+// reference within a tight rounding-error envelope, forward and
 // inverse, at every power-of-two size the pipeline uses. The bound is
 // relative to the spectrum's largest magnitude — a few dozen ULPs, far
 // below anything a detection threshold can see.
@@ -90,11 +161,12 @@ func TestKernelVsRadix2OracleULP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r2 := newRadix2Ref(p)
 		x := kernelSignal(rng, n)
 		fwd := make([]complex128, n)
 		ref := make([]complex128, n)
 		p.Transform(fwd, x)
-		p.transformRadix2(ref, x)
+		r2.transform(ref, x)
 		var peak float64
 		for _, v := range ref {
 			if m := cmplx.Abs(v); m > peak {
@@ -108,7 +180,7 @@ func TestKernelVsRadix2OracleULP(t *testing.T) {
 		inv := make([]complex128, n)
 		invRef := make([]complex128, n)
 		p.Inverse(inv, fwd)
-		p.inverseRadix2(invRef, ref)
+		r2.inverse(invRef, ref)
 		if d := maxBinDiff(inv, invRef); d > 64*0x1p-52*(maxAbs(invRef)+1) {
 			t.Errorf("n=%d inverse: radix-4 vs radix-2 max diff %g", n, d)
 		}
@@ -207,76 +279,33 @@ func TestFFTRegistryConcurrency(t *testing.T) {
 // TestSpectrumIntoFusedCaches checks the fused pass contract: bins
 // bit-identical to the allocating NewSpectrum, and the Mags/Pows caches
 // exactly equal to the one canonical magnitude expression — on the
-// radix-4 path, the Bluestein path, and the radix-2 fallback.
+// radix-4 path and the Bluestein path.
 func TestSpectrumIntoFusedCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(1006))
-	for _, tc := range []struct {
-		n      int
-		radix2 bool
-	}{{2048, false}, {8, false}, {4, false}, {600, false}, {2048, true}, {600, true}} {
-		x := kernelSignal(rng, tc.n)
-		pl := &Plan{Radix2: tc.radix2}
+	for _, n := range []int{2048, 8, 4, 600} {
+		x := kernelSignal(rng, n)
+		pl := NewPlan()
 		var s Spectrum
 		pl.SpectrumInto(&s, x, 4e6)
-		if len(s.Mags) != tc.n || len(s.Pows) != tc.n {
-			t.Fatalf("n=%d radix2=%v: caches not filled (%d/%d)", tc.n, tc.radix2, len(s.Mags), len(s.Pows))
+		if len(s.Mags) != n || len(s.Pows) != n {
+			t.Fatalf("n=%d: caches not filled (%d/%d)", n, len(s.Mags), len(s.Pows))
 		}
 		for k, v := range s.Bins {
 			if pw := binPow(v); s.Pows[k] != pw || s.Mags[k] != math.Sqrt(pw) {
-				t.Fatalf("n=%d radix2=%v bin %d: cache mismatch", tc.n, tc.radix2, k)
+				t.Fatalf("n=%d bin %d: cache mismatch", n, k)
 			}
 		}
-		if !tc.radix2 {
-			ref := NewSpectrum(x, 4e6)
-			for k := range ref.Bins {
-				if s.Bins[k] != ref.Bins[k] {
-					t.Fatalf("n=%d bin %d: fused bins %v != NewSpectrum %v", tc.n, k, s.Bins[k], ref.Bins[k])
-				}
+		ref := NewSpectrum(x, 4e6)
+		for k := range ref.Bins {
+			if s.Bins[k] != ref.Bins[k] {
+				t.Fatalf("n=%d bin %d: fused bins %v != NewSpectrum %v", n, k, s.Bins[k], ref.Bins[k])
 			}
-		}
-	}
-}
-
-// TestPlanRadix2Fallback checks the escape hatch: a Radix2 plan's
-// transforms are bit-identical to the reference kernel at every
-// surface, including through Bluestein's internal FFTs.
-func TestPlanRadix2Fallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(1007))
-	for _, n := range []int{2048, 600} {
-		x := kernelSignal(rng, n)
-		pl := &Plan{Radix2: true}
-		dst := make([]complex128, n)
-		pl.FFTInto(dst, x)
-		var want []complex128
-		if n&(n-1) == 0 {
-			p, _ := NewFFTPlan(n)
-			want = make([]complex128, n)
-			p.transformRadix2(want, x)
-		} else {
-			// The reference for a Bluestein length is a second fallback
-			// plan: determinism of the radix-2 path is what matters.
-			pl2 := &Plan{Radix2: true}
-			want = make([]complex128, n)
-			pl2.FFTInto(want, x)
-		}
-		for k := range want {
-			if dst[k] != want[k] {
-				t.Fatalf("n=%d bin %d: radix-2 fallback not deterministic/reference", n, k)
-			}
-		}
-		// The fallback must stay within the oracle envelope of the
-		// production kernel.
-		prod := FFT(x)
-		peak := maxAbs(prod)
-		tol := 512 * 0x1p-52 * (peak + 1)
-		if d := maxBinDiff(dst, prod); d > tol {
-			t.Errorf("n=%d: radix-2 vs radix-4 diff %g > %g", n, d, tol)
 		}
 	}
 }
 
 // BenchmarkFFTPlan is the kernel microbench of the perf trajectory:
-// the radix-4 production kernel against the retained radix-2 reference
+// the radix-4 production kernel against the radix-2 reference
 // at the capture length, plus the batched and fused entry points.
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
@@ -291,9 +320,11 @@ func BenchmarkFFTPlan(b *testing.B) {
 		}
 	})
 	b.Run("radix2ref", func(b *testing.B) {
+		r2 := newRadix2Ref(p)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.transformRadix2(dst, src)
+			r2.transform(dst, src)
 		}
 	})
 	b.Run("inverse", func(b *testing.B) {

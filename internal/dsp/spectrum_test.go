@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// Tone is one synthesized spectral component: a complex amplitude at a
+// continuous frequency, on the scale of a dense FFT bin value
+// (amplitude × capture length for a pure tone).
+type Tone struct {
+	Freq float64    // Hz
+	Amp  complex128 // FFT-bin-scale complex amplitude
+}
+
 // toneSignal synthesizes a sum of complex tones with additive noise.
 func toneSignal(rng *rand.Rand, n int, sampleRate, noise float64, tones []Tone) []complex128 {
 	x := make([]complex128, n)
